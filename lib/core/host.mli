@@ -135,6 +135,15 @@ val reset_caches : t -> unit
     deaths) is dropped — CESRM state is soft state. Pair with
     {!Srm.Host.restart_recovery} on the underlying SRM host. *)
 
+val depart : t -> int
+(** Membership departure: {!reset_caches}, then [Srm.Host.depart] on the
+    SRM core (whose result it returns). *)
+
+val mirror_violations : t -> string list
+(** The table-mirror law ([Srm.Host.mirror_violations]) over the SRM
+    core's tables and CESRM's two expedited tables; [[]] when exact.
+    For tests. *)
+
 val publish_metrics : t -> Obs.Registry.t -> unit
 (** Accumulate this member's SRM metrics plus the expedited-recovery
     state (["cesrm/"] prefix: requests/replies sent, cache occupancy,

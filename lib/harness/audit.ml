@@ -9,13 +9,22 @@ type t = {
   mutable violations : violation list;
   max_data_seq : (int, int) Hashtbl.t; (* per stream source *)
   retired_floor : (int, int) Hashtbl.t; (* per source: seqs <= floor retired *)
-  requested : (int * int, unit) Hashtbl.t; (* (src, seq) with a request *)
-  data_sent_at : (int * int, float) Hashtbl.t;
+  (* Per-packet tables keyed by [pkey src seq]: an int key costs the
+     tap nothing, where a tuple was allocated per sent packet. *)
+  requested : (int, unit) Hashtbl.t; (* (src, seq) with a request *)
+  data_sent_at : (int, float) Hashtbl.t;
   exp_requests : (int * int * int, int) Hashtbl.t; (* (host, src, seq) -> count *)
   requests : (int * int * int, int) Hashtbl.t; (* (host, src, seq) -> mc request count *)
 }
 
 let now t = Sim.Engine.now (Net.Network.engine t.network)
+
+(* (src, seq) packed into one int: seqs stay below 2^32. *)
+let pkey src seq = (src lsl 32) lor seq
+
+let key_src k = k lsr 32
+
+let key_seq k = k land 0xFFFF_FFFF
 
 let flag t ~at rule detail = t.violations <- { at; rule; detail } :: t.violations
 
@@ -29,19 +38,18 @@ let floor_of t src = Option.value ~default:0 (Hashtbl.find_opt t.retired_floor s
    tap passes the engine clock, while a sharded run feeds the merged
    cross-shard tap stream after the fact, in timestamp order. *)
 let observe t ~at ~from (p : Net.Packet.t) =
-  let flag = flag ~at in
   t.seen <- t.seen + 1;
   match p.payload with
   | Net.Packet.Data { seq } ->
       (* any member may source a stream; its own sends are the stream *)
       let src = from in
       if t.expect_in_order && seq <> max_seq_of t src + 1 then
-        flag t "data-well-formed"
+        flag t ~at "data-well-formed"
           (Printf.sprintf "source %d sent seq %d after %d" src seq (max_seq_of t src));
       Hashtbl.replace t.max_data_seq src (max (max_seq_of t src) seq);
-      if Hashtbl.mem t.data_sent_at (src, seq) then
-        flag t "data-well-formed" (Printf.sprintf "source %d seq %d sent twice" src seq)
-      else Hashtbl.replace t.data_sent_at (src, seq) at
+      if Hashtbl.mem t.data_sent_at (pkey src seq) then
+        flag t ~at "data-well-formed" (Printf.sprintf "source %d seq %d sent twice" src seq)
+      else Hashtbl.replace t.data_sent_at (pkey src seq) at
   (* Seqs at or below a source's retired floor are past their stability
      horizon: their bookkeeping has been dropped, so the per-packet
      invariants can no longer be evaluated (and late requests for them
@@ -49,30 +57,33 @@ let observe t ~at ~from (p : Net.Packet.t) =
      history was checked before retirement. *)
   | Net.Packet.Request { src; seq; requestor; round = _; _ } when seq > floor_of t src ->
       if seq > max_seq_of t src then
-        flag t "request-subject-exists"
+        flag t ~at "request-subject-exists"
           (Printf.sprintf "host %d requested unsent src %d seq %d" requestor src seq);
-      Hashtbl.replace t.requested (src, seq) ();
+      Hashtbl.replace t.requested (pkey src seq) ();
       bump t.requests (requestor, src, seq);
       let n = Hashtbl.find t.requests (requestor, src, seq) in
       if n > Srm.Params.default.max_rounds + 1 then
-        flag t "request-rounds-bounded"
+        flag t ~at "request-rounds-bounded"
           (Printf.sprintf "host %d sent %d requests for seq %d" requestor n seq)
   | Net.Packet.Exp_request { src; seq; requestor; _ } when seq > floor_of t src ->
       if seq > max_seq_of t src then
-        flag t "request-subject-exists"
+        flag t ~at "request-subject-exists"
           (Printf.sprintf "host %d expedited unsent src %d seq %d" requestor src seq);
-      Hashtbl.replace t.requested (src, seq) ();
+      Hashtbl.replace t.requested (pkey src seq) ();
       bump t.exp_requests (requestor, src, seq)
   | Net.Packet.Reply { src; seq; replier; _ } when seq > floor_of t src ->
-      if not (Hashtbl.mem t.requested (src, seq)) then
-        flag t "reply-has-cause"
+      if not (Hashtbl.mem t.requested (pkey src seq)) then
+        flag t ~at "reply-has-cause"
           (Printf.sprintf "host %d replied to unrequested src %d seq %d" replier src seq);
-      (match Hashtbl.find_opt t.data_sent_at (src, seq) with
-      | Some sent when sent <= at -> ()
-      | _ ->
-          flag t "replier-plausible"
-            (Printf.sprintf "host %d retransmitted src %d seq %d before the original send"
-               replier src seq))
+      let sent_before =
+        match Hashtbl.find t.data_sent_at (pkey src seq) with
+        | sent -> sent <= at
+        | exception Not_found -> false
+      in
+      if not sent_before then
+        flag t ~at "replier-plausible"
+          (Printf.sprintf "host %d retransmitted src %d seq %d before the original send"
+             replier src seq)
   | Net.Packet.Request _ | Net.Packet.Exp_request _ | Net.Packet.Reply _ -> ()
   | Net.Packet.Session _ -> ()
 
@@ -90,7 +101,8 @@ let retire_below t ~upto =
     t.exp_requests;
   let sweep2 table =
     let dead =
-      Hashtbl.fold (fun ((src, seq) as k) _ acc -> if retiring src seq then k :: acc else acc)
+      Hashtbl.fold
+        (fun k _ acc -> if retiring (key_src k) (key_seq k) then k :: acc else acc)
         table []
     in
     List.iter (Hashtbl.remove table) dead

@@ -207,8 +207,7 @@ let worker_body ~chan ~me ~observe ~partition ~(setup : Run_types.setup) ~fault_
             List.iter
               (fun (n, h) ->
                 if n = node then begin
-                  Cesrm.Host.reset_caches h;
-                  forgiven := !forgiven + Srm.Host.depart (Cesrm.Host.srm h)
+                  forgiven := !forgiven + Cesrm.Host.depart h
                 end
                 else begin
                   Cesrm.Host.invalidate_replier h ~replier:node;

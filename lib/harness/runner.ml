@@ -447,8 +447,7 @@ let run_model ?(setup = default_setup) ?tracer ?registry ?fault_plan ?(shards = 
             List.iter
               (fun (n, h) ->
                 if n = node then begin
-                  Cesrm.Host.reset_caches h;
-                  forgiven := !forgiven + Srm.Host.depart (Cesrm.Host.srm h)
+                  forgiven := !forgiven + Cesrm.Host.depart h
                 end
                 else begin
                   Cesrm.Host.invalidate_replier h ~replier:node;

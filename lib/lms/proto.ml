@@ -82,7 +82,7 @@ let start ?(streaming = false) t ~warmup ~tail =
                 origin = 0;
                 sent_at = Sim.Engine.now engine;
                 max_seqs = Host.max_seqs source;
-                echoes = [];
+                echoes = Net.Packet.no_echoes;
               };
         };
       ignore (Sim.Engine.schedule engine ~after:1.0 heartbeat)

@@ -21,9 +21,15 @@ type mutation =
           wire — every recovery the host would have served stalls *)
   | Double_deliver
       (** fire [on_packet_obtained] twice per obtained packet *)
-(** Test-only protocol mutations ({!inject_mutation}). Each breaks a
-    different invariant the fault oracle asserts, so injecting one must
-    make the oracle report violations — the oracle's self-test. *)
+  | Stale_mirror
+      (** leave a request's table-mirror bit set when the request is
+          removed — harmless to the protocol (a set bit only costs a
+          probe) but a breach of the mirror law {!mirror_violations}
+          checks *)
+(** Test-only protocol mutations ({!inject_mutation}). Each of the
+    first two breaks a different invariant the fault oracle asserts, so
+    injecting one must make the oracle report violations — the oracle's
+    self-test; [Stale_mirror] is the mirror law's self-test. *)
 
 type hooks = {
   mutable on_loss_detected : src:int -> seq:int -> unit;
@@ -101,8 +107,16 @@ val note_sent : ?src:int -> t -> seq:int -> unit
 
 val has_packet : ?src:int -> t -> seq:int -> bool
 
+val has : t -> src:int -> seq:int -> bool
+(** {!has_packet} with a mandatory source. The layers above call this
+    form on their per-packet paths: an optional argument passed as
+    [~src] is boxed into a fresh [Some] at every call. *)
+
 val suffered_loss : ?src:int -> t -> seq:int -> bool
 (** Has this member ever detected the loss of [seq]? *)
+
+val detected : t -> src:int -> seq:int -> bool
+(** {!suffered_loss} with a mandatory source (see {!has}). *)
 
 val reply_blocked : ?src:int -> t -> seq:int -> bool
 (** A reply for the packet is scheduled or pending (abstinence) — the
@@ -125,6 +139,18 @@ val send_reply_now :
     (default: multicast) — the router-assisted path substitutes a
     relayed subcast. Used by CESRM's expedited replier (with
     [expedited:true]). *)
+
+val reply_now :
+  t ->
+  src:int ->
+  seq:int ->
+  requestor:int ->
+  d_qs:float ->
+  expedited:bool ->
+  turning_point:int option ->
+  transmit:(Net.Packet.t -> unit) option ->
+  bool
+(** {!send_reply_now} with every argument mandatory (see {!has}). *)
 
 val dist_to_source : ?src:int -> t -> float
 (** Session estimate, falling back to 1 s before any exchange. *)
@@ -154,6 +180,9 @@ val retired_floor : ?src:int -> t -> int
     Retired packets still answer [has_packet] with [true] — retirement
     only ever covers fully-delivered prefixes, and replies carry no
     payload, so a late request for a retired packet is still served. *)
+
+val floor_of : t -> src:int -> int
+(** {!retired_floor} with a mandatory source (see {!has}). *)
 
 val retire_below : t -> upto:int -> unit
 (** Steady-state retirement: drop per-packet soft state (delivery
@@ -193,3 +222,44 @@ val forget_peer : t -> int -> unit
 
 val inject_mutation : t -> mutation -> unit
 (** Test-only: switch a {!mutation} on for the rest of the run. *)
+
+(** {2 Table mirror}
+
+    Each per-loss table keyed by (source, seq) has an exact presence
+    mirror: one bit in the seq's delivery-window byte (DESIGN.md §18).
+    A clear bit proves the table holds no such key, so the delivery
+    path skips the hash probe. Seqs at or below the retired floor, or
+    outside [\[1, n_packets\]], have no bits: {!mirror_may_hold} answers
+    [true] for them and the caller probes. Two bits belong to the layer
+    above (CESRM's expedited tables), which keeps them in step with its
+    own tables through the functions below. *)
+
+type mirror_bit
+
+val exp_timer_bit : mirror_bit
+
+val exp_pending_bit : mirror_bit
+
+val mirror_may_hold : t -> src:int -> seq:int -> mirror_bit -> bool
+(** [false] only when the bit proves the table lacks the key. *)
+
+val mirror_mark : t -> src:int -> seq:int -> mirror_bit -> unit
+(** Record an insertion (creates the stream's state if needed). *)
+
+val mirror_unmark : t -> src:int -> seq:int -> mirror_bit -> unit
+(** Record a removal. *)
+
+val unmark_all : t -> mirror_bit -> unit
+(** Record that the table was emptied. *)
+
+type mirrored_table
+
+val mirrored_table : string -> mirror_bit -> (Key.t, 'a) Hashtbl.t -> mirrored_table
+(** Name a table of the layer above and the bit mirroring it, for
+    {!mirror_violations}. *)
+
+val mirror_violations : ?extra:mirrored_table list -> t -> string list
+(** The mirror law, for tests: every (table, source, seq) in the
+    mirrored range where the bit disagrees with the table's membership,
+    one line each ([[]] when the mirror is exact). Covers this host's
+    four tables plus [extra]. *)

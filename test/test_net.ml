@@ -159,14 +159,14 @@ let test_packet_sizes () =
        (mk (Net.Packet.Request { src = 0; seq = 1; requestor = 2; d_qs = 0.1; round = 0 })));
   check Alcotest.int "session is free" 0
     (Net.Packet.size_bits
-       (mk (Net.Packet.Session { origin = 1; sent_at = 0.; max_seqs = []; echoes = [] })))
+       (mk (Net.Packet.Session { origin = 1; sent_at = 0.; max_seqs = []; echoes = Net.Packet.no_echoes })))
 
 let test_packet_seq () =
   check Alcotest.(option int) "data seq" (Some 9)
     (Net.Packet.seq (mk (Net.Packet.Data { seq = 9 })));
   check Alcotest.(option int) "session no seq" None
     (Net.Packet.seq
-       (mk (Net.Packet.Session { origin = 1; sent_at = 0.; max_seqs = [ (0, 3) ]; echoes = [] })))
+       (mk (Net.Packet.Session { origin = 1; sent_at = 0.; max_seqs = [ (0, 3) ]; echoes = Net.Packet.no_echoes })))
 
 let test_packet_describe () =
   let d = Net.Packet.describe (mk (Net.Packet.Data { seq = 5 })) in
@@ -213,7 +213,7 @@ let make_network ?(tree = sample_tree ()) () =
   (engine, network)
 
 let session_packet =
-  mk (Net.Packet.Session { origin = 1; sent_at = 0.; max_seqs = []; echoes = [] })
+  mk (Net.Packet.Session { origin = 1; sent_at = 0.; max_seqs = []; echoes = Net.Packet.no_echoes })
 
 let test_network_multicast_times () =
   let engine, network = make_network () in
