@@ -112,9 +112,9 @@ let make_drop ~loss_model ~lossy_recovery ~lossy_sessions ~rates ~rng =
   fun ~link ~down (p : Net.Packet.t) ->
     match p.payload with
     | Net.Packet.Data { seq } -> down && data_cut ~link ~seq
-    | Net.Packet.Session _ -> lossy_sessions && Sim.Rng.bernoulli rng rates.(link)
+    | Net.Packet.Session _ -> lossy_sessions && Sim.Rng.bernoulli_in rng rates link
     | Net.Packet.Request _ | Net.Packet.Reply _ | Net.Packet.Exp_request _ ->
-        lossy_recovery && Sim.Rng.bernoulli rng rates.(link)
+        lossy_recovery && Sim.Rng.bernoulli_in rng rates link
 
 let horizon ~setup ~n_packets ~period =
   setup.warmup +. (float_of_int n_packets *. period) +. setup.tail +. 240.

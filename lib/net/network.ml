@@ -73,6 +73,7 @@ type t = {
   cost : Cost.t;
   mutable delivered : int;
   mutable tap : (from:int -> Packet.t -> unit) option;
+  stamp : Sim.Engine.stamp; (* [deliver]'s fire time, passed unboxed *)
   mutable perturb : perturb option; (* None = the unfaulted fast path *)
   mutable membership : membership option; (* None = static full group *)
   (* Shard-mode hot path: [sh_owner] empty means serial (no sharding);
@@ -168,6 +169,7 @@ let create_heterogeneous ~engine ~tree ~delays ?(bandwidth_bps = 1.5e6) () =
       cost = Cost.create ();
       delivered = 0;
       tap = None;
+      stamp = Sim.Engine.stamp ();
       perturb = None;
       membership = None;
       sh_owner = [||];
@@ -407,7 +409,7 @@ let link_is_down t ~link ~at =
    check consults the origin's snapshot instead of live state: the
    member may have crashed or revived between the origin's send and
    this shard's replay of it. *)
-let deliver t ~node ~at =
+let[@inline] deliver t ~node ~at =
   match t.handlers.(node) with
   | None -> ()
   | Some _ ->
@@ -419,7 +421,8 @@ let deliver t ~node ~at =
       if not blocked then begin
         let s = t.cur_pslot in
         t.prefs.(s) <- t.prefs.(s) + 1;
-        Sim.Engine.schedule_call t.engine ~at t.fire ((s lsl t.node_bits) lor node)
+        t.stamp.Sim.Engine.time <- at;
+        Sim.Engine.schedule_call_stamped t.engine t.stamp t.fire ((s lsl t.node_bits) lor node)
       end
 
 (* Whether this shard tallies the crossing into [to_] — exactly the

@@ -1,20 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer read and written through
+   the unboxed primitives: a mutable [int64] record field is a pointer
+   to a boxed int64, so every draw would allocate a fresh one. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
+  mix z
 
 let split t = create (bits64 t)
 
@@ -29,7 +40,7 @@ let substream base i =
   go i
 
 (* Top 53 bits give a uniform float in [0,1). *)
-let unit_float t =
+let[@inline] unit_float t =
   let x = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float x *. 0x1p-53
 
@@ -50,6 +61,8 @@ let int t n =
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = unit_float t < p
+
+let bernoulli_in t probs i = unit_float t < probs.(i)
 
 let exponential t mean =
   let u = unit_float t in

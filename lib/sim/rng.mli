@@ -47,6 +47,11 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+val bernoulli_in : t -> float array -> int -> bool
+(** [bernoulli_in t probs i] is [bernoulli t probs.(i)], without
+    boxing the probability for the call: per-crossing loss predicates
+    read their link rates this way. *)
+
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential with the given mean. *)
 
