@@ -69,6 +69,10 @@ val entries : ?now:float -> t -> entry list
 val most_recent : ?now:float -> t -> entry option
 (** Head of {!entries} — the scheme's best-ranked tuple. *)
 
+val first_entry : ?now:float -> t -> keep:(entry -> bool) -> entry option
+(** The best-ranked entry satisfying [keep] — the head of [entries]
+    filtered by [keep] — without building either list. *)
+
 val most_frequent : ?now:float -> t -> entry option
 (** The pair (requestor, replier) occurring most often, represented by
     its most recent tuple; ties break toward the more recent pair. *)

@@ -21,16 +21,16 @@ let choose ?now ?(score = fun ~replier:_ -> 1.) ?(exclude = fun ~replier:_ -> fa
      view is then the cache itself. The view is already ranked by the
      cache's retention scheme ([now] lets TTL expire and hotspot decay
      first), so "most recent" below means "best-ranked". *)
-  let entries =
-    List.filter
-      (fun (e : Cache.entry) -> not (exclude ~replier:e.replier))
-      (Cache.entries ?now cache)
-  in
-  let most_recent = match entries with [] -> None | e :: _ -> Some e in
+  let keep (e : Cache.entry) = not (exclude ~replier:e.replier) in
+  let view () = List.filter keep (Cache.entries ?now cache) in
   match policy with
-  | Most_recent -> most_recent
-  | Most_frequent -> Cache.most_frequent_of entries
+  | Most_recent ->
+      (* The head of the view, found without building it: this runs on
+         every detected loss. *)
+      Cache.first_entry ?now cache ~keep
+  | Most_frequent -> Cache.most_frequent_of (view ())
   | Success_biased -> (
+      let entries = view () in
       (* Most recent entry whose replier has been answering; when every
          known replier disappoints, fall back to plain recency so the
          SRM fallback can repopulate the cache. *)
@@ -38,11 +38,11 @@ let choose ?now ?(score = fun ~replier:_ -> 1.) ?(exclude = fun ~replier:_ -> fa
         List.find_opt (fun (e : Cache.entry) -> score ~replier:e.replier >= 0.5) entries
       with
       | Some e -> Some e
-      | None -> most_recent)
+      | None -> ( match entries with [] -> None | e :: _ -> Some e))
   | Frequency_weighted_recent -> (
       (* Most-frequent over a recency window of 8, so stale pairs age
          out faster than with plain most-frequent. *)
-      match entries with
+      match view () with
       | [] -> None
       | recent -> (
           let window = take 8 recent in
