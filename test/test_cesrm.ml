@@ -534,6 +534,226 @@ let test_cesrm_beats_srm_on_trace () =
   check Alcotest.bool "cesrm sends fewer retransmissions" true
     (Net.Cost.retransmission_overhead cesrm.cost < Net.Cost.retransmission_overhead srm.cost)
 
+(* --- Delivery hot path ---------------------------------------------------- *)
+
+(* A lone CESRM host on the sample tree, driven packet by packet: its
+   sends reach the network, but no other member is deployed. *)
+let make_host ?(n_packets = 100) () =
+  let tree = sample_tree () in
+  let engine = Sim.Engine.create ~seed:5L () in
+  let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
+  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
+  let recoveries = Stats.Recovery.create () in
+  let host =
+    Cesrm.Host.create ~network ~self:3 ~params:Srm.Params.default
+      ~config:Cesrm.Host.default_config ~n_packets ~counters ~recoveries ()
+  in
+  (engine, host)
+
+let data seq = { Net.Packet.sender = 0; payload = Net.Packet.Data { seq } }
+
+let reply ?(replier = 5) ?(requestor = 4) seq =
+  {
+    Net.Packet.sender = replier;
+    payload =
+      Net.Packet.Reply
+        {
+          src = 0;
+          seq;
+          requestor;
+          d_qs = 0.04;
+          replier;
+          d_rq = 0.08;
+          expedited = false;
+          turning_point = None;
+        };
+  }
+
+(* Minor-heap words per packet while the host handles [packets], built
+   beforehand so only the handler's allocation counts. *)
+let words_per_delivery host packets =
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length packets - 1 do
+    Cesrm.Host.on_packet host packets.(i)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length packets)
+
+(* The delivery path's allocation budget (DESIGN.md §18). Loss-free
+   data and duplicate replies for packets the host never lost allocate
+   nothing. A duplicate reply for a packet it did lose is digested into
+   the replier cache: the cache is left as it is, but the digest builds
+   the candidate entry (7 words) and boxes the timestamp it passes the
+   cache (4 words) — 11 words measured, bound 12. *)
+let test_delivery_alloc_budget () =
+  let n = 1000 in
+  let _, host = make_host ~n_packets:(4 * n) () in
+  ignore (words_per_delivery host [| data 1 |]);
+  check (Alcotest.float 0.) "words per loss-free data delivery" 0.
+    (words_per_delivery host (Array.init n (fun i -> data (i + 2))));
+  let kept = Array.init n (fun i -> reply (i + 1)) in
+  ignore (words_per_delivery host kept);
+  check (Alcotest.float 0.) "words per duplicate reply, packet never lost" 0.
+    (words_per_delivery host kept);
+  (* Lose every other packet of the next block, recover each by reply. *)
+  let base = n + 1 in
+  ignore (words_per_delivery host (Array.init n (fun i -> data (base + (2 * i) + 1))));
+  let lost = Array.init n (fun i -> reply (base + (2 * i))) in
+  ignore (words_per_delivery host lost);
+  check Alcotest.int "every loss recovered" 0 (Srm.Host.pending_requests (Cesrm.Host.srm host));
+  let dup = words_per_delivery host lost in
+  if dup > 12. then Alcotest.failf "duplicate reply for a lost packet: %.2f words > 12" dup
+
+(* The table mirror (Srm.Host, DESIGN.md §18): after every step of a
+   random single-host program, each presence bit equals its table's
+   membership above the retired floor. The programs cover every path
+   that inserts into or removes from the six mirrored tables. *)
+type op =
+  | Data of int (* original packet: delivery, gap detection *)
+  | Session of int (* advertised max-seq: deferred detection *)
+  | Request of int * int (* overheard (requestor, seq): back-off, join, or reply scheduling *)
+  | Reply of int * int * int (* (replier, requestor, seq): recovery, suppression, digest *)
+  | Exp_request of int (* addressed to this host: expedited reply *)
+  | Advance of int (* run the program clock k * 20 ms on: request, reply and expedited timers *)
+  | Retire of int
+  | Depart_join of int (* leave, then rejoin baselined at seq *)
+  | Restart (* crash recovery: reset_caches, restart_recovery *)
+  | Reset_caches
+
+let show_op = function
+  | Data s -> Printf.sprintf "Data %d" s
+  | Session s -> Printf.sprintf "Session %d" s
+  | Request (q, s) -> Printf.sprintf "Request (%d, %d)" q s
+  | Reply (r, q, s) -> Printf.sprintf "Reply (%d, %d, %d)" r q s
+  | Exp_request s -> Printf.sprintf "Exp_request %d" s
+  | Advance k -> Printf.sprintf "Advance %d" k
+  | Retire s -> Printf.sprintf "Retire %d" s
+  | Depart_join s -> Printf.sprintf "Depart_join %d" s
+  | Restart -> "Restart"
+  | Reset_caches -> "Reset_caches"
+
+let mirror_packets = 40
+
+let op_gen =
+  QCheck.Gen.(
+    let seq = int_range 1 mirror_packets in
+    let peer = oneofl [ 4; 5 ] in
+    frequency
+      [
+        (6, map (fun s -> Data s) seq);
+        (1, map (fun s -> Session s) seq);
+        (3, map2 (fun q s -> Request (q, s)) peer seq);
+        (* requestor 3 is this host: its losses seed expedited pairs *)
+        (4, map3 (fun r q s -> Reply (r, q, s)) (oneofl [ 0; 4; 5 ]) (oneofl [ 3; 4 ]) seq);
+        (1, map (fun s -> Exp_request s) seq);
+        (4, map (fun k -> Advance k) (int_range 0 50));
+        (1, map (fun s -> Retire s) seq);
+        (1, map (fun s -> Depart_join s) (int_range 0 mirror_packets));
+        (1, return Restart);
+        (1, return Reset_caches);
+      ])
+
+(* [horizon] is the program's clock: [Sim.Engine.run ~until] only moves
+   the engine clock to the events it fires, so advancing from the
+   engine's own clock would never reach a timer armed further out than
+   one step. *)
+let run_op ~horizon engine host op =
+  let srm = Cesrm.Host.srm host in
+  match op with
+  | Data s -> Cesrm.Host.on_packet host (data s)
+  | Session s ->
+      Cesrm.Host.on_packet host
+        {
+          Net.Packet.sender = 4;
+          payload =
+            Net.Packet.Session
+              { origin = 4; sent_at = 0.; max_seqs = [ (0, s) ]; echoes = Net.Packet.no_echoes };
+        }
+  | Request (requestor, seq) ->
+      Cesrm.Host.on_packet host
+        {
+          Net.Packet.sender = requestor;
+          payload = Net.Packet.Request { src = 0; seq; requestor; d_qs = 0.04; round = 0 };
+        }
+  | Reply (replier, requestor, seq) -> Cesrm.Host.on_packet host (reply ~replier ~requestor seq)
+  | Exp_request seq ->
+      Cesrm.Host.on_packet host
+        {
+          Net.Packet.sender = 4;
+          payload =
+            Net.Packet.Exp_request
+              { src = 0; seq; requestor = 4; d_qs = 0.04; replier = 3; turning_point = None };
+        }
+  | Advance k ->
+      horizon := !horizon +. (0.02 *. float_of_int k);
+      Sim.Engine.run ~until:!horizon engine
+  | Retire upto -> Cesrm.Host.retire_below host ~upto
+  | Depart_join upto ->
+      ignore (Cesrm.Host.depart host);
+      Srm.Host.join srm ~baselines:[ (0, upto) ]
+  | Restart ->
+      Cesrm.Host.reset_caches host;
+      Srm.Host.restart_recovery srm
+  | Reset_caches -> Cesrm.Host.reset_caches host
+
+(* Runs [ops] on a fresh host; the first step after which the mirror
+   disagrees with a table, with the disagreements. *)
+let first_mirror_breach ?mutation ops =
+  let engine, host = make_host ~n_packets:mirror_packets () in
+  Option.iter (Srm.Host.inject_mutation (Cesrm.Host.srm host)) mutation;
+  let horizon = ref 0. in
+  let rec go i = function
+    | [] -> None
+    | op :: rest -> (
+        run_op ~horizon engine host op;
+        match Cesrm.Host.mirror_violations host with
+        | [] -> go (i + 1) rest
+        | bad -> Some (i, op, bad))
+  in
+  go 0 ops
+
+let prop_mirror_law =
+  QCheck.Test.make ~name:"mirror: presence bits equal table membership after every step"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 120) op_gen))
+    (fun ops ->
+      match first_mirror_breach ops with
+      | None -> true
+      | Some (i, op, bad) ->
+          QCheck.Test.fail_reportf "step %d (%s): %s" i (show_op op) (String.concat ", " bad))
+
+(* The battery reaches every table, CESRM's expedited pair included:
+   one fixed program arms an expedited timer, sends the request and
+   scores the outcome, with the law holding throughout. *)
+let test_mirror_reaches_expedited_tables () =
+  let engine, host = make_host ~n_packets:mirror_packets () in
+  let ops =
+    [ Data 2; Reply (4, 3, 1); Data 4; Advance 0; Advance 10; Data 3; Advance 50; Reply (5, 4, 3) ]
+  in
+  let horizon = ref 0. in
+  List.iteri
+    (fun i op ->
+      run_op ~horizon engine host op;
+      match Cesrm.Host.mirror_violations host with
+      | [] -> ()
+      | bad -> Alcotest.failf "step %d (%s): %s" i (show_op op) (String.concat ", " bad))
+    ops;
+  check Alcotest.int "an expedited request went out" 1 (Cesrm.Host.expedited_requests_sent host)
+
+(* Mutation self-test: a request removed without clearing its bit (a
+   stale bit only costs a probe, so the protocol still works) must
+   break the law at the step that leaves it stale. *)
+let test_mirror_law_catches_stale_bit () =
+  let ops = [ Data 3; Data 1 ] in
+  check Alcotest.bool "clean host: law holds" true (first_mirror_breach ops = None);
+  match first_mirror_breach ~mutation:Srm.Host.Stale_mirror ops with
+  | Some (1, Data 1, bad) ->
+      check Alcotest.(list string) "the stale request bit" [ "requests 0 1 bit=true member=false" ] bad
+  | Some (i, op, _) -> Alcotest.failf "breach at the wrong step: %d (%s)" i (show_op op)
+  | None -> Alcotest.fail "the law missed a stale bit"
+
 let () =
   Alcotest.run "cesrm"
     [
@@ -575,6 +795,15 @@ let () =
         ] );
       ( "churn",
         [ Alcotest.test_case "invalidate departed replier" `Quick test_invalidate_replier ] );
+      ( "hot path",
+        [
+          Alcotest.test_case "delivery allocation budget" `Quick test_delivery_alloc_budget;
+          qcheck prop_mirror_law;
+          Alcotest.test_case "mirror reaches expedited tables" `Quick
+            test_mirror_reaches_expedited_tables;
+          Alcotest.test_case "mirror law catches a stale bit" `Quick
+            test_mirror_law_catches_stale_bit;
+        ] );
       ( "multi-source",
         [
           Alcotest.test_case "two streams" `Quick test_multi_source_streams;
