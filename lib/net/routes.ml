@@ -21,17 +21,37 @@ let cache_capacity = 64
 type cache = {
   tbl : (int, order) Hashtbl.t;
   fifo : int Queue.t; (* insertion order of the evictable (non-0) keys *)
+  (* The order evicted last: its arrays are refilled by the next build
+     of the same length instead of lingering as major-heap garbage.
+     Flood orders all have n_nodes - 1 entries, so once the FIFO is
+     full a flood rebuild allocates nothing (164 KB per rebuild at 4096
+     nodes, thousands of rebuilds per run). *)
+  mutable spare : order option;
 }
 
-let cache_create () = { tbl = Hashtbl.create 64; fifo = Queue.create () }
+let cache_create () = { tbl = Hashtbl.create 64; fifo = Queue.create (); spare = None }
 
-let cache_add c key v =
+(* Make room for [key] — evicting the oldest entry into [spare] when
+   the FIFO is full — before its order is built, so the build can
+   reuse the evicted arrays. No walk holds an order across a lookup,
+   so the evicted one is free. *)
+let cache_reserve c key =
   if key <> 0 then begin
-    if Queue.length c.fifo >= cache_capacity then
-      Hashtbl.remove c.tbl (Queue.pop c.fifo);
+    if Queue.length c.fifo >= cache_capacity then begin
+      let victim = Queue.pop c.fifo in
+      c.spare <- Hashtbl.find_opt c.tbl victim;
+      Hashtbl.remove c.tbl victim
+    end;
     Queue.push key c.fifo
-  end;
-  Hashtbl.replace c.tbl key v
+  end
+
+(* The spare, when it has exactly [n_entries] entries. *)
+let take_spare c ~n_entries =
+  match c.spare with
+  | Some o when Array.length o.nodes = n_entries ->
+      c.spare <- None;
+      Some o
+  | _ -> None
 
 (* LCA paths are cheap to rebuild, so the path cache is simply reset
    when it fills rather than tracking eviction order. *)
@@ -92,12 +112,21 @@ let subtree_size t v = t.sizes.(v)
 (* Shared DFS-preorder builder. [succ v prev] enumerates the nodes to
    enter from [v], in the exact order the former recursive list walk
    visited them, so packet-level event ordering is preserved. *)
-let build_order ~n_entries ~roots ~origin ~succ t =
-  let nodes = Array.make n_entries 0 in
-  let prevs = Array.make n_entries 0 in
-  let links = Array.make n_entries 0 in
-  let skips = Array.make n_entries 0 in
-  let cum = Array.make n_entries 0. in
+let build_order ?into ~n_entries ~roots ~origin ~succ t =
+  (* Every entry is written below, so a recycled order of the right
+     length needs no clearing. *)
+  let { nodes; prevs; links; skips; cum } =
+    match into with
+    | Some o -> o
+    | None ->
+        {
+          nodes = Array.make n_entries 0;
+          prevs = Array.make n_entries 0;
+          links = Array.make n_entries 0;
+          skips = Array.make n_entries 0;
+          cum = Array.make n_entries 0.;
+        }
+  in
   let idx = ref 0 in
   let rec visit ~prev ~acc v =
     let i = !idx in
@@ -119,27 +148,30 @@ let flood_order t origin =
   match Hashtbl.find_opt t.floods.tbl origin with
   | Some o -> o
   | None ->
+      cache_reserve t.floods origin;
+      let n_entries = Tree.n_nodes t.tree - 1 in
       let o =
-        build_order t
-          ~n_entries:(Tree.n_nodes t.tree - 1)
+        build_order t ?into:(take_spare t.floods ~n_entries) ~n_entries
           ~roots:t.neighbors.(origin) ~origin
           ~succ:(fun v -> t.neighbors.(v))
       in
-      cache_add t.floods origin o;
+      Hashtbl.replace t.floods.tbl origin o;
       o
 
 let down_order t root =
   match Hashtbl.find_opt t.downs.tbl root with
   | Some o -> o
   | None ->
+      cache_reserve t.downs root;
+      let n_entries = t.sizes.(root) - 1 in
       let o =
-        if t.sizes.(root) = 1 then empty_order
+        if n_entries = 0 then empty_order
         else
-          build_order t ~n_entries:(t.sizes.(root) - 1) ~roots:t.children.(root)
+          build_order t ?into:(take_spare t.downs ~n_entries) ~n_entries ~roots:t.children.(root)
             ~origin:root
             ~succ:(fun v -> t.children.(v))
       in
-      cache_add t.downs root o;
+      Hashtbl.replace t.downs.tbl root o;
       o
 
 let build_path t ~src ~dst =
