@@ -347,8 +347,12 @@ let ablations () =
    builds the next batch of sequence numbers, delivers it, then retires
    it so the delivery window stays put (building and retiring are timed
    with the batch). [srm:deliver-reply] is duplicate replies: packets
-   the host holds, abstinence horizons already open. The words/op
-   column counts the deliveries alone. *)
+   the host holds, abstinence horizons already open.
+   [srm:deliver-reply-flood] is that duplicate reply at flood scale
+   (DESIGN.md §19): one SCALE-bf-4096-shaped group on oracle distances,
+   as scale runs use, each delivery going to the next receiver
+   round-robin, so every delivery meets a host whose state is as cold
+   as in a flood. The words/op column counts the deliveries alone. *)
 let hot_batch = 1000
 
 let hot_path_host ~n_packets =
@@ -376,6 +380,29 @@ let reply_packet seq =
         };
   }
 
+let flood_hosts () =
+  let tree =
+    Mtrace.Topology_gen.bounded_fanout ~rng:(Sim.Rng.create 42L) ~n_receivers:4096
+      ~fanout:Mtrace.Scale.default_fanout
+  in
+  let engine = Sim.Engine.create ~seed:5L () in
+  let network = Net.Network.create ~engine ~tree ~link_delay:0.02 () in
+  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
+  let recoveries = Stats.Recovery.create () in
+  let params = { Srm.Params.default with oracle_distances = true } in
+  let receivers = Net.Tree.receivers tree in
+  let hosts =
+    Array.map
+      (fun self ->
+        let host =
+          Srm.Host.create ~network ~self ~params ~n_packets:1 ~counters ~recoveries ()
+        in
+        Srm.Host.note_sent host ~seq:1;
+        host)
+      receivers
+  in
+  (hosts, receivers.(Array.length receivers / 2))
+
 (* Each case: its name, one timed run, and the minor-heap words that
    run's deliveries allocate per packet (the retirement excluded). *)
 let hot_path_cases () =
@@ -400,6 +427,33 @@ let hot_path_cases () =
   done;
   let replay = deliver reply_host (Array.init hot_batch (fun i -> reply_packet (i + 1))) in
   replay ();
+  let flood, requestor = flood_hosts () in
+  let flood_reply =
+    {
+      Net.Packet.sender = 0;
+      payload =
+        Net.Packet.Reply
+          {
+            src = 0;
+            seq = 1;
+            requestor;
+            d_qs = 0.04;
+            replier = 0;
+            d_rq = 0.08;
+            expedited = false;
+            turning_point = None;
+          };
+    }
+  in
+  let cursor = ref 0 in
+  let flood_replay () =
+    for _ = 1 to hot_batch do
+      Srm.Host.on_packet flood.(!cursor) flood_reply;
+      cursor := (!cursor + 1) mod Array.length flood
+    done
+  in
+  (* open every receiver's abstinence horizon once *)
+  Array.iter (fun host -> Srm.Host.on_packet host flood_reply) flood;
   let words f =
     let w0 = Gc.minor_words () in
     f ();
@@ -415,6 +469,7 @@ let hot_path_cases () =
         retire ();
         w );
     ("srm:deliver-reply", replay, fun () -> words replay);
+    ("srm:deliver-reply-flood", flood_replay, fun () -> words flood_replay);
   ]
 
 let bechamel () =

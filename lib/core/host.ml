@@ -323,10 +323,7 @@ let retire_below t ~upto =
     Srm.Key.seq ~stride:t.stride k <= Srm.Host.floor_of t.srm ~src:(Srm.Key.src ~stride:t.stride k)
   in
   let sweep ?(keep = fun _ -> false) table =
-    let dead =
-      Hashtbl.fold (fun k v acc -> if retired k && not (keep v) then k :: acc else acc) table []
-    in
-    List.iter (Hashtbl.remove table) dead
+    Srm.Host.sweep_dead table ~dead:(fun k v -> retired k && not (keep v))
   in
   sweep t.exp_timers ~keep:Sim.Engine.is_pending;
   sweep t.pending_exp

@@ -74,6 +74,8 @@ type t = {
   mutable delivered : int;
   mutable tap : (from:int -> Packet.t -> unit) option;
   stamp : Sim.Engine.stamp; (* [deliver]'s fire time, passed unboxed *)
+  dist_scratch : int array; (* [dist]: the v side of the walk *)
+  dist_out : Tree.cell; (* [dist]'s answer, passed unboxed *)
   mutable perturb : perturb option; (* None = the unfaulted fast path *)
   mutable membership : membership option; (* None = static full group *)
   (* Shard-mode hot path: [sh_owner] empty means serial (no sharding);
@@ -170,6 +172,8 @@ let create_heterogeneous ~engine ~tree ~delays ?(bandwidth_bps = 1.5e6) () =
       delivered = 0;
       tap = None;
       stamp = Sim.Engine.stamp ();
+      dist_scratch = Array.make (Tree.height tree) 0;
+      dist_out = { Tree.d = 0. };
       perturb = None;
       membership = None;
       sh_owner = [||];
@@ -244,8 +248,14 @@ let link_delay t l = t.delays.(l)
 (* On-demand tree walk instead of a precomputed n x n matrix: the
    matrix was the dominant memory cost at scale (800 MB at 10^4
    nodes). [Tree.dist] sums link delays in the same order the matrix
-   builder did, so callers see bit-identical floats. *)
-let dist t u v = Tree.dist t.tree ~delay:(fun l -> t.delays.(l)) u v
+   builder did, so callers see bit-identical floats. The walk reads
+   only the shared parent/depth/delay arrays and the network's own
+   scratch, so it costs no allocation and touches no per-host state. *)
+let dist_cell t u v =
+  Tree.dist t.tree ~delays:t.delays ~scratch:t.dist_scratch t.dist_out u v;
+  t.dist_out
+
+let dist t u v = (dist_cell t u v).Tree.d
 
 let rtt t u v = 2. *. dist t u v
 

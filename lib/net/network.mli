@@ -51,6 +51,12 @@ val link_delay : t -> int -> float
 val dist : t -> int -> int -> float
 (** True one-way latency between two nodes (sum of link delays). *)
 
+val dist_cell : t -> int -> int -> Tree.cell
+(** {!dist}, handed back in the network's own cell: a caller reading
+    [.d] straight away allocates nothing, where a float returned across
+    a module boundary is boxed. The cell is overwritten by the next
+    call. *)
+
 val rtt : t -> int -> int -> float
 
 val set_drop : t -> (link:int -> down:bool -> Packet.t -> bool) -> unit

@@ -103,12 +103,39 @@ let subtree_nodes t v =
 let subtree_receivers t v =
   List.filter (fun x -> is_leaf t x && x <> 0) (List.sort compare (subtree_nodes t v))
 
-let dist t ~delay u v =
-  List.fold_left (fun acc l -> acc +. delay l) 0. (on_path_links t u v)
+type cell = { mutable d : float }
 
-let distance_matrix t ~delay =
+(* One walk finds the LCA and sums the path: the u side is added as it
+   is climbed (bottom-up); the v side is parked in [scratch] and added
+   top-down once the walk meets — {!on_path_links}' order, so the float
+   is bit-identical to folding over that list. *)
+let dist t ~delays ~scratch cell u v =
+  let parent = t.parent and depth = t.depth in
+  let acc = ref 0. and u = ref u and v = ref v and n = ref 0 in
+  while !u <> !v do
+    let du = depth.(!u) and dv = depth.(!v) in
+    if du >= dv then begin
+      acc := !acc +. delays.(!u);
+      u := parent.(!u)
+    end;
+    if dv >= du then begin
+      scratch.(!n) <- !v;
+      incr n;
+      v := parent.(!v)
+    end
+  done;
+  for i = !n - 1 downto 0 do
+    acc := !acc +. delays.(scratch.(i))
+  done;
+  cell.d <- !acc
+
+let distance_matrix t ~delays =
   let n = n_nodes t in
-  Array.init n (fun u -> Array.init n (fun v -> dist t ~delay u v))
+  let scratch = Array.make (height t) 0 and cell = { d = 0. } in
+  Array.init n (fun u ->
+      Array.init n (fun v ->
+          dist t ~delays ~scratch cell u v;
+          cell.d))
 
 let line n =
   if n < 1 then invalid_arg "Tree.line";

@@ -67,10 +67,19 @@ val subtree_nodes : t -> int -> int list
 val subtree_receivers : t -> int -> int list
 (** Receivers at or below the given node, increasing order. *)
 
-val dist : t -> delay:(int -> float) -> int -> int -> float
-(** One-way latency between two nodes given a per-link delay. *)
+type cell = { mutable d : float }
+(** A caller-owned float cell: {!dist} writes its answer here, so the
+    float is never boxed on its way back. *)
 
-val distance_matrix : t -> delay:(int -> float) -> float array array
+val dist : t -> delays:float array -> scratch:int array -> cell -> int -> int -> unit
+(** [dist t ~delays ~scratch cell u v] writes the one-way latency
+    between [u] and [v] into [cell]: the sum of [delays.(l)] over
+    {!on_path_links}[ t u v], added in that order (the [u] side
+    bottom-up, then the [v] side top-down), so it is bit-identical to
+    folding over that list from [0.]. [scratch] holds the [v] side; its
+    length must be at least {!height}. Allocates nothing. *)
+
+val distance_matrix : t -> delays:float array -> float array array
 (** All-pairs one-way latencies; [m.(u).(v)]. *)
 
 (* Constructors for tests and examples. *)

@@ -193,6 +193,7 @@ type t = {
   stride : int; (* Key packing stride: n_packets + 1 *)
   rng : Sim.Rng.t;
   session : Session.t;
+  estimates : Session.estimates; (* the session's table, read by [dist_to] *)
   (* Keyed by source node id. Sparse: a group of n members previously
      carried an n-slot array per host (n^2 option slots across the
      group); only nodes that actually source or get asked about a
@@ -417,11 +418,19 @@ let mirror_violations ?(extra = []) t =
   List.rev !bad
 
 (* Paper Section 4.3 assumes distances are known before data flows; the
-   1 s fallback only matters if a request fires inside the warm-up. *)
+   1 s fallback only matters if a request fires inside the warm-up.
+   Scale runs ([oracle_distances]) start from that converged state: a
+   peer with no measured estimate is at its true tree distance, walked
+   over the network's shared arrays rather than memoized per host — at
+   10^4 members a per-host table is a cold probe on every delivery
+   (DESIGN.md §19). On those runs the estimate table stays empty; the
+   host holds it, so reading that costs no trip through the session. *)
 let[@inline] dist_to t peer =
-  let e = Session.estimate t.session peer in
+  let e = Session.estimate t.estimates peer in
   if e != Session.no_estimate then e.Session.d
-  else Session.fallback_distance t.session peer ~default:1.0
+  else if t.params.Params.oracle_distances then
+    (Net.Network.dist_cell t.network t.self peer).Net.Tree.d
+  else 1.0
 
 let dist_to_source ?(src = 0) t = dist_to t src
 
@@ -869,6 +878,31 @@ let floor_of t ~src = (find_stream t src).base
 
 let retired_floor ?(src = 0) t = floor_of t ~src
 
+(* Retirement gathers a table's dead keys before removing them (a table
+   must not change while it is iterated), into one buffer that every
+   host shares. A list of them would live long enough to be promoted,
+   one cons per retired entry: garbage that keeps the steady-state heap
+   climbing while live data stays flat (DESIGN.md §19). *)
+let dead_keys = ref (Array.make 1024 0)
+
+let sweep_dead table ~dead =
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun k v ->
+      if dead k v then begin
+        if !n = Array.length !dead_keys then begin
+          let b = Array.make (2 * !n) 0 in
+          Array.blit !dead_keys 0 b 0 !n;
+          dead_keys := b
+        end;
+        !dead_keys.(!n) <- k;
+        incr n
+      end)
+    table;
+  for i = 0 to !n - 1 do
+    Hashtbl.remove table !dead_keys.(i)
+  done
+
 (* Steady-state retirement: drop per-packet state at or below [upto],
    clamped to each stream's own delivered prefix (the controller's
    global horizon already sits below every member's prefix; the clamp
@@ -893,8 +927,7 @@ let retire_below t ~upto =
     match Hashtbl.find_opt t.streams src with Some st -> seq <= st.base | None -> false
   in
   let sweep ?(keep = fun _ _ -> false) table =
-    let dead = Hashtbl.fold (fun k v acc -> if retired k && not (keep k v) then k :: acc else acc) table [] in
-    List.iter (Hashtbl.remove table) dead
+    sweep_dead table ~dead:(fun k v -> retired k && not (keep k v))
   in
   sweep t.replies ~keep:(fun _ timer -> Sim.Engine.is_pending timer);
   sweep t.reply_abstain ~keep:(fun _ h -> h.until > now t);
@@ -1129,27 +1162,9 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
      the knot with forward cells. *)
   let get_max_seqs_cell = ref (fun () -> []) in
   let on_max_seq_cell = ref (fun ~src:_ (_ : int) -> ()) in
-  (* Oracle distances are memoized per host: the underlying tree walk
-     is O(depth) and allocating, while the scheduling hot path asks for
-     the same few peers (the source, recent requestors) over and over.
-     The memo only ever holds those few. *)
-  let oracle =
-    if params.Params.oracle_distances then (
-      let memo = Hashtbl.create 8 in
-      Some
-        (fun peer ->
-          match Hashtbl.find memo peer with
-          | d -> d
-          | exception Not_found ->
-              let d = Net.Network.dist network self peer in
-              Hashtbl.replace memo peer d;
-              d))
-    else None
-  in
   let session =
-    Session.create
-      ?echo_limit:params.Params.session_echo_limit ?oracle
-      ~network ~self ~period:params.Params.session_period ~rng:(Sim.Rng.split rng)
+    Session.create ?echo_limit:params.Params.session_echo_limit ~network ~self
+      ~period:params.Params.session_period ~rng:(Sim.Rng.split rng)
       ~get_max_seqs:(fun () -> !get_max_seqs_cell ())
       ~on_max_seq:(fun ~src m -> !on_max_seq_cell ~src m)
       ~on_send:(fun () -> Stats.Counters.bump counters ~node:self Stats.Counters.Sess)
@@ -1165,6 +1180,7 @@ let create ?domain ~network ~self ~params ~n_packets ~counters ~recoveries () =
       stride = n_packets + 1;
       rng;
       session;
+      estimates = Session.estimates session;
       streams = Hashtbl.create 4;
       stream_srcs = [];
       cached_src = -1;

@@ -193,6 +193,11 @@ val retire_below : t -> upto:int -> unit
     byte-identical to an infinite-window one. Driven by
     [Steady.Controller]; never called in classic runs. *)
 
+val sweep_dead : (Key.t, 'a) Hashtbl.t -> dead:(Key.t -> 'a -> bool) -> unit
+(** Remove every entry for which [dead] holds, gathering the keys in a
+    shared buffer rather than a list: the retirement sweep of this
+    module's per-loss tables and of the layers above it. *)
+
 val restart_recovery : t -> unit
 (** Model a crashed host coming back up: session distance estimates,
     scheduled replies, and reply-abstinence horizons are dropped (soft

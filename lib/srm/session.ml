@@ -16,9 +16,6 @@ type t = {
   on_max_seq : src:int -> int -> unit;
   on_send : unit -> unit;
   echo_limit : int option;
-  oracle : (int -> float) option;
-      (* authoritative fallback distance (scale runs): consulted when
-         no measured estimate exists, see [fallback_distance] *)
   (* Peer state is sparse: a host only materializes entries for peers
      it has actually exchanged session traffic with. The former dense
      per-node float arrays were three words per (host, node) pair —
@@ -36,7 +33,7 @@ type t = {
   mutable scratch : Float.Array.t; (* [send]: echo entries, in visiting order *)
 }
 
-let create ?echo_limit ?oracle ~network ~self ~period ~rng ~get_max_seqs ~on_max_seq ~on_send () =
+let create ?echo_limit ~network ~self ~period ~rng ~get_max_seqs ~on_max_seq ~on_send () =
   (match echo_limit with
   | Some k when k <= 0 -> invalid_arg "Session.create: echo_limit must be positive"
   | _ -> ());
@@ -51,7 +48,6 @@ let create ?echo_limit ?oracle ~network ~self ~period ~rng ~get_max_seqs ~on_max
     on_max_seq;
     on_send;
     echo_limit;
-    oracle;
     dists = Hashtbl.create 16;
     heard = Hashtbl.create 16;
     heard_order = [];
@@ -182,9 +178,15 @@ let on_packet t (p : Net.Packet.t) =
 
 let distance t peer = Option.map (fun e -> e.d) (Hashtbl.find_opt t.dists peer)
 
-let estimate t peer = match Hashtbl.find t.dists peer with e -> e | exception Not_found -> no_estimate
+type estimates = (int, estimate) Hashtbl.t
 
-let fallback_distance t peer ~default = match t.oracle with Some f -> f peer | None -> default
+let estimates t = t.dists
+
+(* Scale runs never measure a distance, so the empty table is answered
+   before the probe. *)
+let estimate (e : estimates) peer =
+  if Hashtbl.length e = 0 then no_estimate
+  else match Hashtbl.find e peer with d -> d | exception Not_found -> no_estimate
 
 let distance_exn t peer =
   match Hashtbl.find t.dists peer with

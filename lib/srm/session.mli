@@ -16,7 +16,6 @@ type t
 
 val create :
   ?echo_limit:int ->
-  ?oracle:(int -> float) ->
   network:Net.Network.t ->
   self:int ->
   period:float ->
@@ -37,12 +36,6 @@ val create :
     round-robin, [echo_limit] per message, keeping per-member session
     state O(1) in the group size.
 
-    [oracle] supplies an authoritative distance for peers with no
-    measured estimate yet (scale runs pass the network's true
-    delay-weighted tree distance — the converged state the paper
-    assumes — so timers are well-spread without the quadratic session
-    warm-up). Measured estimates take precedence once they exist.
-
     @raise Invalid_argument if [echo_limit] is non-positive. *)
 
 val start : ?jitter:float -> t -> until:float -> unit
@@ -62,14 +55,18 @@ type estimate = private { mutable d : float }
 val no_estimate : estimate
 (** What {!estimate} answers for a peer with no measured distance. *)
 
-val estimate : t -> int -> estimate
+type estimates
+(** A session's table of measured distances. *)
+
+val estimates : t -> estimates
+(** The session's live table. It is the same value for the session's
+    whole life ({!reset} and {!forget_peer} empty it in place), so a
+    caller may keep it and skip the session record on every read. *)
+
+val estimate : estimates -> int -> estimate
 (** The peer's estimate cell, or {!no_estimate}. The call returns a
     pointer, so a caller reading [.d] allocates nothing — unlike a
     float returned across a module boundary, which is boxed. *)
-
-val fallback_distance : t -> int -> default:float -> float
-(** The distance to assume for a peer with no estimate: the [oracle]'s
-    answer, else [default]. *)
 
 val distance_exn : t -> int -> float
 (** @raise Failure when no estimate exists yet — protocol logic should

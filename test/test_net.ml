@@ -64,9 +64,11 @@ let test_tree_ancestry_subtrees () =
 
 let test_tree_dist () =
   let t = sample_tree () in
-  let delay _ = 0.02 in
-  check (Alcotest.float 1e-9) "dist 3->5" 0.08 (Net.Tree.dist t ~delay 3 5);
-  let m = Net.Tree.distance_matrix t ~delay in
+  let delays = Array.make (Net.Tree.n_nodes t) 0.02 in
+  let scratch = Array.make (Net.Tree.height t) 0 and cell = { Net.Tree.d = Float.nan } in
+  Net.Tree.dist t ~delays ~scratch cell 3 5;
+  check (Alcotest.float 1e-9) "dist 3->5" 0.08 cell.d;
+  let m = Net.Tree.distance_matrix t ~delays in
   check (Alcotest.float 1e-9) "matrix symmetric" m.(3).(5) m.(5).(3);
   check (Alcotest.float 1e-9) "diag zero" 0. m.(2).(2)
 
@@ -120,6 +122,46 @@ let prop_tree_hops_path_consistent =
           let h = Net.Tree.hops t u v in
           if List.length (Net.Tree.path t u v) <> h + 1 then ok := false;
           if List.length (Net.Tree.on_path_links t u v) <> h then ok := false
+        done
+      done;
+      !ok)
+
+(* The reference distance: a fold over the path's links, in
+   [on_path_links] order. *)
+let ref_dist tree delays u v =
+  List.fold_left (fun acc l -> acc +. delays.(l)) 0. (Net.Tree.on_path_links tree u v)
+
+let arbitrary_tree_delays =
+  let gen =
+    QCheck.Gen.(
+      random_parents_gen >>= fun parents ->
+      array_repeat (Array.length parents) (float_range 1e-4 0.25) >|= fun delays ->
+      (parents, delays))
+  in
+  QCheck.make
+    ~print:(fun (p, d) ->
+      String.concat "," (List.map string_of_int (Array.to_list p))
+      ^ " / "
+      ^ String.concat "," (List.map (Printf.sprintf "%h") (Array.to_list d)))
+    gen
+
+(* The allocation-free walk adds in the reference fold's order, so it
+   is bit-identical to it, not merely close. *)
+let prop_network_dist_bit_identical =
+  QCheck.Test.make ~name:"network: dist is bit-identical to the path fold" ~count:200
+    arbitrary_tree_delays (fun (parents, delays) ->
+      let tree = Net.Tree.of_parents parents in
+      let engine = Sim.Engine.create ~seed:1L () in
+      let network = Net.Network.create_heterogeneous ~engine ~tree ~delays () in
+      let n = Net.Tree.n_nodes tree in
+      let ok = ref true in
+      for u = 0 to n - 1 do
+        if Net.Network.dist network u u <> 0. then ok := false;
+        for v = 0 to n - 1 do
+          if
+            Int64.bits_of_float (Net.Network.dist network u v)
+            <> Int64.bits_of_float (ref_dist tree delays u v)
+          then ok := false
         done
       done;
       !ok)
@@ -561,7 +603,7 @@ let check_order ~what tree delays origin (o : Net.Routes.order) expected_nodes =
     | _ -> Alcotest.failf "%s: degenerate path to %d" what node);
     let link = if Net.Tree.parent tree node = o.prevs.(i) then node else o.prevs.(i) in
     if o.links.(i) <> link then Alcotest.failf "%s: link of %d" what node;
-    let d = Net.Tree.dist tree ~delay:(fun l -> delays.(l)) origin node in
+    let d = ref_dist tree delays origin node in
     if Float.abs (o.cum.(i) -. d) > 1e-9 then Alcotest.failf "%s: cum of %d" what node;
     let in_subtree = ref 0 in
     for j = i to n - 1 do
@@ -668,6 +710,7 @@ let () =
           qcheck prop_tree_lca_is_common_ancestor;
           qcheck prop_tree_hops_path_consistent;
           qcheck prop_tree_receivers_are_leaves;
+          qcheck prop_network_dist_bit_identical;
         ] );
       ( "packet",
         [

@@ -334,6 +334,94 @@ let test_delivery_alloc_budget () =
   if first > 8. then Alcotest.failf "first reply per packet: %.2f words > 8" first;
   check (Alcotest.float 0.) "words per duplicate reply" 0. (words_per_delivery deliver replies)
 
+(* --- oracle distances -------------------------------------------------- *)
+
+(* Scale runs ([oracle_distances]) start from the converged state the
+   paper assumes: a peer with no measured estimate is at its true tree
+   distance, read from the network's shared arrays. Non-uniform delays,
+   so a wrong path or summation order shows in the bits. *)
+let make_oracle_host () =
+  let tree = sample_tree () in
+  let engine = Sim.Engine.create ~seed:5L () in
+  let delays = [| 0.; 0.013; 0.021; 0.007; 0.031; 0.017 |] in
+  let network = Net.Network.create_heterogeneous ~engine ~tree ~delays () in
+  let counters = Stats.Counters.create ~n_nodes:(Net.Tree.n_nodes tree) in
+  let recoveries = Stats.Recovery.create () in
+  let params = { params with Srm.Params.oracle_distances = true } in
+  let host =
+    Srm.Host.create ~network ~self:3 ~params ~n_packets:4000 ~counters ~recoveries ()
+  in
+  (network, host)
+
+let check_oracle what network host peer =
+  let want = Net.Network.dist network 3 peer and got = Srm.Host.dist_to host peer in
+  if Int64.bits_of_float got <> Int64.bits_of_float want then
+    Alcotest.failf "%s: dist_to %d = %h, network dist = %h" what peer got want
+
+let test_host_oracle_distances () =
+  let network, host = make_oracle_host () in
+  for peer = 0 to 5 do
+    check_oracle "before any echo" network host peer
+  done;
+  (* Peer 5 echoes our timestamp -0.5 s, unheld, at time 0: a measured
+     one-way distance of 0.25 s, which overrides the oracle. *)
+  Srm.Host.on_packet host
+    {
+      Net.Packet.sender = 5;
+      payload =
+        Net.Packet.Session
+          {
+            origin = 5;
+            sent_at = 0.;
+            max_seqs = [];
+            echoes = Float.Array.of_list [ 3.; -0.5; 0. ];
+          };
+    };
+  check (Alcotest.float 0.) "the measured estimate wins" 0.25 (Srm.Host.dist_to host 5);
+  check_oracle "an unmeasured peer still reads the oracle" network host 4;
+  Srm.Host.restart_recovery host;
+  check_oracle "a restart forgets the estimate" network host 5
+
+(* Minor-heap words per call of [f] over peers 0..5, summed so the
+   result is used. *)
+let words_per_read (f : int -> float) =
+  let n = 2000 in
+  let sum = ref 0. in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    sum := !sum +. f (i mod 6)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if not (Float.is_finite !sum) then Alcotest.fail "non-finite distance";
+  words
+
+(* The oracle read allocates nothing: neither the distance itself nor a
+   duplicate reply, whose abstinence horizon is reopened at
+   [D3 · dist_to requestor] on every delivery. A float returned by a
+   closure, or across a module boundary when cross-module inlining is
+   off (dune's dev profile compiles with -opaque), is boxed by the
+   call itself; so [dist_to] called from here is held to the cost of a
+   plain array read returned the same way — no word of its own. *)
+let test_oracle_alloc_budget () =
+  let network, host = make_oracle_host () in
+  let n = 2000 in
+  let sum = ref 0. in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    sum := !sum +. (Net.Network.dist_cell network 3 (i mod 6)).Net.Tree.d
+  done;
+  let walk = (Gc.minor_words () -. w0) /. float_of_int n in
+  check Alcotest.bool "walked distances are finite" true (Float.is_finite !sum);
+  check (Alcotest.float 0.) "words per network distance walk" 0. walk;
+  check (Alcotest.float 0.) "words per oracle dist_to, beyond the returned float's box"
+    (words_per_read (Net.Network.link_delay network))
+    (words_per_read (Srm.Host.dist_to host));
+  let deliver = Srm.Host.on_packet host in
+  ignore (words_per_delivery deliver (data_packets ~first:1 ~n));
+  let replies = reply_packets ~seqs:(Array.init n (fun i -> i + 1)) in
+  ignore (words_per_delivery deliver replies);
+  check (Alcotest.float 0.) "words per duplicate reply" 0. (words_per_delivery deliver replies)
+
 let test_adaptive_controller () =
   let check = Alcotest.check in
   let a = Srm.Adaptive.create ~initial:Srm.Params.default in
@@ -427,6 +515,8 @@ let () =
           Alcotest.test_case "reply-now abstinence" `Quick test_host_send_reply_now_abstinence;
           Alcotest.test_case "hooks fire" `Quick test_host_hooks_fire;
           Alcotest.test_case "delivery allocation budget" `Quick test_delivery_alloc_budget;
+          Alcotest.test_case "oracle distances" `Quick test_host_oracle_distances;
+          Alcotest.test_case "oracle allocation budget" `Quick test_oracle_alloc_budget;
         ] );
       ( "churn",
         [
